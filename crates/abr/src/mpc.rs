@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::context::{clamp_quality, AbrContext};
+use crate::context::AbrContext;
 use crate::Abr;
 
 /// QoE weights for the MPC objective.
@@ -32,9 +32,18 @@ impl Default for QoeWeights {
 ///
 /// At every chunk boundary the controller predicts future throughput with the
 /// harmonic mean of recent observations (optionally discounted by the recent
-/// maximum prediction error — RobustMPC), then exhaustively searches quality
-/// assignments over a short lookahead horizon, simulating buffer evolution
-/// and picking the first decision of the best plan.
+/// maximum prediction error — RobustMPC), then finds the quality plan over a
+/// short lookahead horizon with the best QoE, simulating buffer evolution,
+/// and plays the plan's first decision.
+///
+/// The search is an exact branch-and-bound: a depth-first walk over plan
+/// prefixes that carries buffer and QoE down each shared prefix and cuts a
+/// subtree once even the top bitrate at every remaining step, with no
+/// penalty, cannot reach the best plan found so far. It returns what scoring
+/// all `num_q^horizon` plans would: the same bit-identical scores, and on an
+/// exact tie the plan with the smallest index `Σ plan[s]·num_q^s`. The cut
+/// is disabled when a QoE weight is negative, since the bound then fails.
+/// A horizon of 0 is treated as 1.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Mpc {
     /// Number of future chunks considered in the lookahead.
@@ -67,8 +76,9 @@ impl Mpc {
         }
     }
 
-    /// Overrides the lookahead horizon (must be ≥ 1; values above 5 get slow
-    /// because the search is exhaustive).
+    /// Overrides the lookahead horizon (must be ≥ 1). The search is exact,
+    /// so its worst case still grows as `num_q^horizon`; pruning usually
+    /// keeps it far below that.
     pub fn with_horizon(mut self, horizon: usize) -> Self {
         assert!(horizon >= 1);
         self.horizon = horizon;
@@ -93,37 +103,6 @@ impl Mpc {
             base
         }
     }
-
-    /// Scores one candidate plan (quality per horizon step), returning the
-    /// total QoE. Buffer evolution: each chunk takes `size / throughput` to
-    /// download, during which the buffer drains; on completion it gains one
-    /// chunk duration, capped at capacity.
-    fn score_plan(&self, ctx: &AbrContext, plan: &[usize], predicted_throughput_mbps: f64) -> f64 {
-        let asset = ctx.asset;
-        let chunk_dur = asset.chunk_duration_s();
-        let mut buffer = ctx.buffer_s;
-        let mut qoe = 0.0;
-        let mut prev_rate = ctx.last_quality.map(|q| asset.ladder().bitrate(q));
-        for (step, &q) in plan.iter().enumerate() {
-            let chunk = ctx.next_chunk + step;
-            if chunk >= asset.num_chunks() {
-                break;
-            }
-            let size = asset.size_bytes(chunk, q);
-            let dt = size * 8.0 / 1e6 / predicted_throughput_mbps;
-            let rebuffer = (dt - buffer).max(0.0);
-            buffer = (buffer - dt).max(0.0) + chunk_dur;
-            buffer = buffer.min(ctx.buffer_capacity_s);
-            let rate = asset.ladder().bitrate(q);
-            qoe += rate;
-            if let Some(prev) = prev_rate {
-                qoe -= self.weights.smoothness_lambda * (rate - prev).abs();
-            }
-            qoe -= self.weights.rebuffer_mu * rebuffer;
-            prev_rate = Some(rate);
-        }
-        qoe
-    }
 }
 
 impl Default for Mpc {
@@ -143,32 +122,116 @@ impl Abr for Mpc {
 
     fn choose(&mut self, ctx: &AbrContext) -> usize {
         let num_q = ctx.num_qualities();
-        if num_q == 1 {
+        let remaining = ctx.asset.num_chunks().saturating_sub(ctx.next_chunk);
+        if num_q <= 1 || remaining == 0 {
+            // One rung, or no chunk left to score: every plan ties and the
+            // first plan (all rung 0) wins.
             return 0;
         }
-        let remaining = ctx.asset.num_chunks().saturating_sub(ctx.next_chunk);
-        let horizon = self.horizon.min(remaining.max(1));
-        let predicted = self.predicted_throughput(ctx);
+        let horizon = self.horizon.clamp(1, remaining);
+        let mut search = PlanSearch::new(self, ctx, horizon);
+        let prev_rate = ctx.last_quality.map(|q| search.rates[q]);
+        search.visit(0, ctx.buffer_s, 0.0, prev_rate);
+        search.best_plan[0]
+    }
+}
 
-        // Exhaustive search over quality assignments for the horizon,
-        // enumerated as base-`num_q` counters.
-        let mut best_plan_first = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
-        let total_plans = num_q.pow(horizon as u32);
-        let mut plan = vec![0usize; horizon];
-        for idx in 0..total_plans {
-            let mut rem = idx;
-            for slot in plan.iter_mut() {
-                *slot = rem % num_q;
-                rem /= num_q;
+/// Exact branch-and-bound over the `num_q^horizon` quality plans.
+///
+/// Plans that share a prefix share its buffer, QoE and previous-rate state,
+/// so each prefix is evaluated once. Scores accumulate in the objective's
+/// term order (`+ rate`, `− λ|Δrate|`, `− μ·rebuffer`), so every leaf score
+/// is bit-identical to scoring that plan from step 0. The winner is the
+/// maximum score; exact ties go to the smallest plan index
+/// `Σ plan[s]·num_q^s`, the first maximum of an enumeration that counts
+/// with `plan[0]` as the fastest digit.
+struct PlanSearch {
+    weights: QoeWeights,
+    chunk_dur: f64,
+    capacity: f64,
+    /// Nominal bitrate per rung, Mbps.
+    rates: Vec<f64>,
+    /// Predicted download time of step `s` at rung `q`, at `s * num_q + q`.
+    download_s: Vec<f64>,
+    top_rate: f64,
+    /// Whether subtrees may be cut by the optimistic bound. The bound (every
+    /// remaining step earns the top bitrate and pays nothing) holds only
+    /// for non-negative penalty weights.
+    prune: bool,
+    plan: Vec<usize>,
+    best_plan: Vec<usize>,
+    best_score: f64,
+}
+
+impl PlanSearch {
+    fn new(mpc: &Mpc, ctx: &AbrContext, horizon: usize) -> Self {
+        let asset = ctx.asset;
+        let rates = asset.ladder().bitrates();
+        let predicted = mpc.predicted_throughput(ctx);
+        let download_s = (ctx.next_chunk..ctx.next_chunk + horizon)
+            .flat_map(|chunk| (0..rates.len()).map(move |q| (chunk, q)))
+            .map(|(chunk, q)| asset.size_bytes(chunk, q) * 8.0 / 1e6 / predicted)
+            .collect();
+        let weights = mpc.weights;
+        Self {
+            weights,
+            chunk_dur: asset.chunk_duration_s(),
+            capacity: ctx.buffer_capacity_s,
+            top_rate: rates.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            rates,
+            download_s,
+            prune: weights.smoothness_lambda >= 0.0 && weights.rebuffer_mu >= 0.0,
+            plan: vec![0; horizon],
+            // Before any leaf the incumbent is plan 0 at −∞: only a strictly
+            // greater score replaces it, as in the enumeration.
+            best_plan: vec![0; horizon],
+            best_score: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Offers the current `plan` as a finished leaf scoring `score`.
+    fn offer(&mut self, score: f64) {
+        // Index order compares from the most significant digit, the last step.
+        let precedes = || self.plan.iter().rev().lt(self.best_plan.iter().rev());
+        if score > self.best_score || (score == self.best_score && precedes()) {
+            self.best_score = score;
+            self.best_plan.copy_from_slice(&self.plan);
+        }
+    }
+
+    /// Expands every rung at `step`, given the buffer, QoE and previous rate
+    /// after the prefix `plan[..step]`. Each chunk takes its predicted
+    /// download time, during which the buffer drains; on completion the
+    /// buffer gains one chunk duration, capped at capacity. Rungs go top
+    /// first: high-rate plans raise the incumbent early.
+    fn visit(&mut self, step: usize, buffer: f64, qoe: f64, prev_rate: Option<f64>) {
+        let num_q = self.rates.len();
+        let steps_left = self.plan.len() - step - 1;
+        for q in (0..num_q).rev() {
+            let dt = self.download_s[step * num_q + q];
+            let rebuffer = (dt - buffer).max(0.0);
+            let rate = self.rates[q];
+            let mut score = qoe + rate;
+            if let Some(prev) = prev_rate {
+                score -= self.weights.smoothness_lambda * (rate - prev).abs();
             }
-            let score = self.score_plan(ctx, &plan, predicted);
-            if score > best_score {
-                best_score = score;
-                best_plan_first = plan[0];
+            score -= self.weights.rebuffer_mu * rebuffer;
+            self.plan[step] = q;
+            if steps_left == 0 {
+                self.offer(score);
+            } else if !(self.prune && self.bound(score, steps_left) < self.best_score) {
+                let next_buffer = ((buffer - dt).max(0.0) + self.chunk_dur).min(self.capacity);
+                self.visit(step + 1, next_buffer, score, Some(rate));
             }
         }
-        clamp_quality(best_plan_first, num_q)
+    }
+
+    /// Upper bound on any leaf below a prefix scoring `qoe` with `steps`
+    /// steps to go. It adds the top rate with the same float additions a
+    /// leaf performs and rounding is monotone, so no leaf can exceed it and
+    /// a cut needs no rounding margin.
+    fn bound(&self, qoe: f64, steps: usize) -> f64 {
+        (0..steps).fold(qoe, |acc, _| acc + self.top_rate)
     }
 }
 
@@ -271,6 +334,36 @@ mod tests {
         };
         let q = mpc.choose(&c);
         assert!(q < asset.num_qualities());
+    }
+
+    #[test]
+    fn zero_horizon_searches_one_step() {
+        let asset = VideoAsset::paper_default(1);
+        let tput = [3.0, 3.0];
+        let c = ctx(&asset, &tput, 3.0, Some(2));
+        let mut zero = Mpc {
+            horizon: 0,
+            ..Mpc::new()
+        };
+        assert_eq!(zero.choose(&c), Mpc::new().with_horizon(1).choose(&c));
+    }
+
+    #[test]
+    fn horizon_past_the_end_of_video_is_capped() {
+        let asset = VideoAsset::paper_default(1);
+        let tput = [3.0, 3.0];
+        let c = AbrContext {
+            next_chunk: asset.num_chunks() - 3,
+            ..ctx(&asset, &tput, 3.0, Some(2))
+        };
+        // Only 3 chunks remain, so a horizon of 100 searches 3 steps.
+        let mut long = Mpc::new().with_horizon(100);
+        assert_eq!(long.choose(&c), Mpc::new().with_horizon(3).choose(&c));
+        let past_end = AbrContext {
+            next_chunk: asset.num_chunks(),
+            ..c
+        };
+        assert_eq!(long.choose(&past_end), 0);
     }
 
     #[test]

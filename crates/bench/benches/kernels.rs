@@ -140,6 +140,19 @@ fn bench_abr(c: &mut Criterion) {
         let mut mpc = Mpc::new();
         b.iter(|| mpc.choose(black_box(&ctx)))
     });
+    // The slowest context found for the pruned search: a volatile history
+    // keeps the bound loose, so few subtrees are cut.
+    let volatile = [8.30, 5.27, 0.54, 0.71, 8.12];
+    let volatile_ctx = AbrContext {
+        buffer_s: 4.17,
+        throughput_history_mbps: &volatile,
+        last_quality: Some(4),
+        ..ctx
+    };
+    c.bench_function("mpc_lookahead_horizon5_volatile", |b| {
+        let mut mpc = Mpc::new();
+        b.iter(|| mpc.choose(black_box(&volatile_ctx)))
+    });
 }
 
 /// The storage-layer projection pin: a 3-column aggregate pass over a
