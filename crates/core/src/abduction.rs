@@ -230,15 +230,10 @@ impl Abduction {
                 num_obs - 1
             )));
         }
-        if let Some(pair) = posteriors
-            .xi
-            .iter()
-            .find(|m| m.len() != num_states || m.cols() != num_states)
-        {
+        if let Some(pair) = posteriors.xi.iter().find(|m| m.num_states() != num_states) {
             return Err(inconsistent(format!(
-                "pairwise posterior is {}x{}, expected {num_states}x{num_states}",
-                pair.len(),
-                pair.cols()
+                "pairwise posterior has {} states, expected {num_states}",
+                pair.num_states()
             )));
         }
         let (start_intervals, _gaps, total_intervals) = interval_layout(log, config)?;

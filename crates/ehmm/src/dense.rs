@@ -1,12 +1,12 @@
 //! Flat row-major buffers for the inference hot path.
 //!
-//! Every per-observation quantity of the EHMM kernels (α, β, γ, emissions,
-//! and each step's pairwise posterior) used to live in `Vec<Vec<f64>>`: one
-//! heap allocation per row and a pointer chase per access. [`StateMatrix`]
-//! replaces that with a single contiguous allocation plus a row stride,
-//! while still *indexing* like the nested representation (`m[n][i]`), so
-//! downstream code — the capacity sampler, tests, callers reading
-//! `Posteriors::gamma` — is unchanged.
+//! Every per-observation quantity of the EHMM kernels (α, β, γ, and the
+//! emissions) used to live in `Vec<Vec<f64>>`: one heap allocation per row
+//! and a pointer chase per access. [`StateMatrix`] replaces that with a
+//! single contiguous allocation plus a row stride, while still *indexing*
+//! like the nested representation (`m[n][i]`), so downstream code — tests,
+//! callers reading `Posteriors::gamma` — is unchanged. Each step's pairwise
+//! posterior is stored as a band instead ([`crate::BandMatrix`]).
 
 use std::ops::{Index, IndexMut};
 

@@ -12,22 +12,27 @@
 //! flat buffers, banded matvecs, shared per-gap kernels. This module keeps
 //! the public [`Posteriors`] type and the classic free-function entry point.
 
+use crate::band::BandMatrix;
 use crate::dense::StateMatrix;
 use crate::model::{EhmmSpec, EmissionTable};
 use crate::workspace::EhmmWorkspace;
 
 /// Posterior quantities produced by the forward–backward pass.
 ///
-/// Both fields are flat row-major buffers that index like the nested
-/// `Vec`s they replaced: `gamma[n][i]` and `xi[n][i][j]`.
+/// `gamma` is a flat row-major buffer indexed like the nested `Vec` it
+/// replaced (`gamma[n][i]`); each step of `xi` is a [`BandMatrix`] read
+/// through its accessor (`xi[n].get(i, j)`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Posteriors {
     /// `gamma[n][i] = P(C_{s_n} = i | Y_{1:N}, W, S)`.
     pub gamma: StateMatrix,
     /// `xi[n][i][j] = P(C_{s_n} = i, C_{s_{n+1}} = j | Y_{1:N}, W, S)`,
-    /// defined for `n = 0..N−2` (the paper's `Γ_{i,j,n}`); each step is one
-    /// flat K×K matrix.
-    pub xi: Vec<StateMatrix>,
+    /// defined for `n = 0..N−2` (the paper's `Γ_{i,j,n}`). Each step is
+    /// stored as the band of its transition kernel `A^{Δ_{n+1}}` — the
+    /// cells outside it are structural zeros, which `get` returns as
+    /// `0.0` — except a degenerate step (no posterior mass), which is
+    /// uniform `1/K²` over all K² cells at full bandwidth.
+    pub xi: Vec<BandMatrix>,
     /// Log-likelihood of the observations under the model, up to the
     /// per-observation emission scaling constants (comparable across
     /// candidate hidden-state priors for the same observations).
@@ -69,7 +74,8 @@ pub fn forward_backward(spec: &EhmmSpec, obs: &EmissionTable) -> Posteriors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{TransitionMatrix, TransitionPowers};
+    use crate::matrix::TransitionMatrix;
+    use crate::reference::TransitionPowers;
 
     fn spec3() -> EhmmSpec {
         EhmmSpec::with_uniform_initial(TransitionMatrix::tridiagonal(3, 0.7))
@@ -141,7 +147,9 @@ mod tests {
             assert!(row.iter().all(|&v| (0.0..=1.0 + 1e-9).contains(&v)));
         }
         for (n, pair) in p.xi.iter().enumerate() {
-            let sum: f64 = pair.iter().flatten().sum();
+            let sum: f64 = (0..3)
+                .flat_map(|i| (0..3).map(move |j| pair.get(i, j)))
+                .sum();
             assert!((sum - 1.0).abs() < 1e-9, "xi[{n}] sums to {sum}");
         }
     }
@@ -166,9 +174,9 @@ mod tests {
             for i in 0..3 {
                 for j in 0..3 {
                     assert!(
-                        (p.xi[n][i][j] - xi_bf[n][i][j]).abs() < 1e-9,
+                        (p.xi[n].get(i, j) - xi_bf[n][i][j]).abs() < 1e-9,
                         "xi[{n}][{i}][{j}]: {} vs {}",
-                        p.xi[n][i][j],
+                        p.xi[n].get(i, j),
                         xi_bf[n][i][j]
                     );
                 }
@@ -181,7 +189,7 @@ mod tests {
         let p = forward_backward(&spec3(), &example_obs());
         for n in 0..p.xi.len() {
             for i in 0..3 {
-                let row_sum: f64 = p.xi[n][i].iter().sum();
+                let row_sum: f64 = (0..3).map(|j| p.xi[n].get(i, j)).sum();
                 assert!(
                     (row_sum - p.gamma[n][i]).abs() < 1e-9,
                     "sum_j xi[{n}][{i}][j] = {row_sum} != gamma[{n}][{i}] = {}",
@@ -189,7 +197,7 @@ mod tests {
                 );
             }
             for j in 0..3 {
-                let col_sum: f64 = (0..3).map(|i| p.xi[n][i][j]).sum();
+                let col_sum: f64 = (0..3).map(|i| p.xi[n].get(i, j)).sum();
                 assert!((col_sum - p.gamma[n + 1][j]).abs() < 1e-9);
             }
         }

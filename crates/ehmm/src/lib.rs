@@ -29,13 +29,16 @@
 //! All inference kernels are implemented over an [`EhmmWorkspace`]: a
 //! shareable, thread-safe cache of per-gap transition kernels (`A^Δ`, its
 //! element-wise log, and its bandwidth) plus flat row-major buffers
-//! ([`StateMatrix`]) for every intermediate. The free functions above are
-//! thin single-use wrappers; batch callers should build one workspace per
-//! model and reuse it so every decode shares the same memoized kernels.
+//! ([`StateMatrix`]) for every intermediate; each step's pairwise posterior
+//! is stored as the band of its transition kernel ([`BandMatrix`]). The
+//! free functions above are thin single-use wrappers; batch callers should
+//! build one workspace per model and reuse it so every decode shares the
+//! same memoized kernels.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
+mod band;
 mod dense;
 mod forward_backward;
 mod interpolate;
@@ -47,11 +50,12 @@ mod sampler;
 mod viterbi;
 mod workspace;
 
+pub use band::BandMatrix;
 pub use dense::StateMatrix;
 pub use forward_backward::{forward_backward, Posteriors};
 pub use interpolate::{interpolate_full_path, states_to_values};
-pub use matrix::{TransitionMatrix, TransitionPowers};
+pub use matrix::TransitionMatrix;
 pub use model::{EhmmSpec, EmissionTable};
-pub use sampler::{sample_path, sample_path_ffbs, sample_paths};
+pub use sampler::{sample_path, sample_path_ffbs};
 pub use viterbi::{path_log_score, viterbi, ViterbiResult};
 pub use workspace::{EhmmWorkspace, GapKernel};

@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 /// δ-interval. The Veritas EHMM replaces the constant per-step matrix of a
 /// vanilla HMM with `A^Δn`, where `Δn` is the number of δ-intervals between
 /// the starts of consecutive chunks, so integer matrix powers are a core
-/// operation here (computed by exponentiation-by-squaring and memoized by
-/// [`TransitionPowers`]).
+/// operation here (computed by exponentiation-by-squaring and memoized per
+/// gap by [`crate::EhmmWorkspace`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransitionMatrix {
     n: usize,
@@ -149,37 +149,6 @@ impl TransitionMatrix {
     }
 }
 
-/// Memo cache of integer powers of a transition matrix.
-///
-/// Chunk gaps `Δn` repeat heavily within a session (most consecutive chunks
-/// are 0 or 1 intervals apart), so caching powers avoids recomputing the
-/// same product for every chunk.
-#[derive(Debug, Clone)]
-pub struct TransitionPowers {
-    base: TransitionMatrix,
-    cache: std::collections::HashMap<u32, TransitionMatrix>,
-}
-
-impl TransitionPowers {
-    /// Creates a cache over `base`.
-    pub fn new(base: TransitionMatrix) -> Self {
-        Self {
-            base,
-            cache: std::collections::HashMap::new(),
-        }
-    }
-
-    /// The underlying one-step matrix.
-    pub fn base(&self) -> &TransitionMatrix {
-        &self.base
-    }
-
-    /// `base^k`, computed on first use and cached.
-    pub fn power(&mut self, k: u32) -> &TransitionMatrix {
-        self.cache.entry(k).or_insert_with(|| self.base.power(k))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,15 +250,5 @@ mod tests {
                 - col.iter().cloned().fold(1.0_f64, f64::min);
             assert!(spread < 1e-6, "column {j} has not mixed: {col:?}");
         }
-    }
-
-    #[test]
-    fn powers_cache_returns_consistent_results() {
-        let mut cache = TransitionPowers::new(TransitionMatrix::tridiagonal(6, 0.75));
-        let direct = cache.base().power(9);
-        let cached = cache.power(9).clone();
-        assert_eq!(direct, cached);
-        // Second lookup hits the cache and must be identical.
-        assert_eq!(*cache.power(9), direct);
     }
 }

@@ -25,26 +25,17 @@ pub fn sample_path<R: Rng + ?Sized>(
     let mut weights = vec![0.0_f64; num_states];
     for n in (0..num_obs - 1).rev() {
         let next_state = path[n + 1];
-        // ξ_{n,i} = Γ[n][i][next_state]
+        // ξ_{n,i} = Γ[n][i][next_state]: only the rows within the band of
+        // column `next_state` can be non-zero, so the draw sees the same
+        // full-length weight vector as a dense read.
         let pair = &posteriors.xi[n];
-        for (i, w) in weights.iter_mut().enumerate() {
-            *w = pair[i][next_state];
+        weights.fill(0.0);
+        for i in pair.columns(next_state) {
+            weights[i] = pair.get(i, next_state);
         }
         path[n] = sample_categorical(&weights, rng);
     }
     path
-}
-
-/// Draws `k` independent sample paths with Algorithm 1.
-pub fn sample_paths<R: Rng + ?Sized>(
-    posteriors: &Posteriors,
-    viterbi: &ViterbiResult,
-    k: usize,
-    rng: &mut R,
-) -> Vec<Vec<usize>> {
-    (0..k)
-        .map(|_| sample_path(posteriors, viterbi, rng))
-        .collect()
 }
 
 /// Exact forward-filtering backward-sampling: draws the final state from its
@@ -91,6 +82,18 @@ mod tests {
     use crate::viterbi::viterbi;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Draws `k` independent sample paths with Algorithm 1.
+    fn sample_paths<R: Rng + ?Sized>(
+        posteriors: &Posteriors,
+        viterbi: &ViterbiResult,
+        k: usize,
+        rng: &mut R,
+    ) -> Vec<Vec<usize>> {
+        (0..k)
+            .map(|_| sample_path(posteriors, viterbi, rng))
+            .collect()
+    }
 
     fn spec3() -> EhmmSpec {
         EhmmSpec::with_uniform_initial(TransitionMatrix::tridiagonal(3, 0.7))
@@ -176,7 +179,7 @@ mod tests {
         // Empirical distribution of state at n=2 conditioned on state 1 at
         // n=3 ... but n=3 is pinned to 2 (Viterbi). The sampler draws state
         // at n=2 from Γ[2][·][2] normalized; compare empirical frequencies.
-        let weights: Vec<f64> = (0..3).map(|i| p.xi[2][i][2]).collect();
+        let weights: Vec<f64> = (0..3).map(|i| p.xi[2].get(i, 2)).collect();
         let z: f64 = weights.iter().sum();
         let expected: Vec<f64> = weights.iter().map(|w| w / z).collect();
         let mut counts = [0.0_f64; 3];

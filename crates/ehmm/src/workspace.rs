@@ -1,7 +1,7 @@
 //! The shared inference workspace: memoized per-gap transition kernels and
 //! the flat-buffer implementations of every EHMM algorithm.
 //!
-//! Profiling the original kernels showed three systematic costs, none of
+//! Profiling the original kernels showed four systematic costs, none of
 //! them intrinsic to the algorithms:
 //!
 //! 1. **Per-step matrix clones** — every observation step cloned the cached
@@ -9,17 +9,23 @@
 //! 2. **Repeated `ln`** — Viterbi re-took the log of every transition entry
 //!    at every step, ~N²·K calls of `ln` per decode.
 //! 3. **Duplicated power caches** — one abduction built three separate
-//!    [`TransitionPowers`](crate::TransitionPowers) caches (Viterbi,
-//!    forward–backward, scoring) for the *same* transition matrix.
+//!    matrix-power caches (Viterbi, forward–backward, scoring) for the
+//!    *same* transition matrix.
+//! 4. **Dense pairwise posteriors** — every step's Γ was an N×N matrix
+//!    allocated, filled, and divided in full, although all cells outside
+//!    the band of `A^Δ` are structural zeros (more than 95% of them at the
+//!    usual gaps of 0–2 δ-intervals).
 //!
-//! [`EhmmWorkspace`] fixes all three: each embedded gap Δ maps to one
+//! [`EhmmWorkspace`] fixes all four: each embedded gap Δ maps to one
 //! immutable [`GapKernel`] holding `A^Δ`, its element-wise natural log, and
 //! its bandwidth (a tridiagonal `A` makes `A^Δ` banded with bandwidth Δ, so
 //! the matvecs can skip structural zeros). Kernels are built once, stored
 //! behind an `Arc`, and handed out by reference count — no clones, no
 //! re-derivation, and the cache is `Sync`, so one workspace can serve a
 //! whole batch executor: every session inferred under the same model shares
-//! the same transition and log-power tables.
+//! the same transition and log-power tables. Each step's Γ is built as a
+//! [`BandMatrix`] over the kernel's band only, cell for cell the same
+//! floats a dense pass produces.
 //!
 //! The public free functions ([`crate::viterbi`], [`crate::forward_backward`],
 //! [`crate::path_log_score`], [`crate::sample_path_ffbs`]) are thin wrappers
@@ -33,6 +39,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use rand::Rng;
 
+use crate::band::BandMatrix;
 use crate::dense::{normalize, StateMatrix};
 use crate::forward_backward::Posteriors;
 use crate::matrix::TransitionMatrix;
@@ -355,21 +362,24 @@ impl EhmmWorkspace {
             normalize(row);
         }
 
-        // Pairwise posteriors, one flat K×K matrix per step.
+        // Pairwise posteriors, one band per step: cells outside the
+        // kernel's band are structural zeros, so only the band is built,
+        // and `total` accumulates over it in the same i-then-j order the
+        // dense construction used.
         let mut xi = Vec::with_capacity(num_obs.saturating_sub(1));
         for n in 0..num_obs.saturating_sub(1) {
             let kernel = &step_kernels[n];
             let alpha_n = alpha.row(n);
             let em_next = emissions.row(n + 1);
             let beta_next = beta.row(n + 1);
-            let mut pair = StateMatrix::zeros(num_states, num_states);
+            let mut pair = BandMatrix::zeros(num_states, kernel.bandwidth);
             let mut total = 0.0;
             for (i, &a) in alpha_n.iter().enumerate() {
                 let row = kernel.matrix.row(i);
-                let out = pair.row_mut(i);
-                for j in kernel.band(i, num_states) {
+                let columns = kernel.band(i, num_states);
+                for (slot, j) in pair.row_mut(i).iter_mut().zip(columns) {
                     let v = a * row[j] * em_next[j] * beta_next[j];
-                    out[j] = v;
+                    *slot = v;
                     total += v;
                 }
             }
@@ -379,10 +389,11 @@ impl EhmmWorkspace {
                 }
             } else {
                 // Degenerate step: fall back to an uninformative pair
-                // posterior.
+                // posterior over all N² cells, i.e. the full bandwidth.
                 let flat = 1.0 / (num_states * num_states) as f64;
-                for v in pair.as_mut_slice() {
-                    *v = flat;
+                pair = BandMatrix::zeros(num_states, num_states - 1);
+                for i in 0..num_states {
+                    pair.row_mut(i).fill(flat);
                 }
             }
             xi.push(pair);

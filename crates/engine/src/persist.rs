@@ -25,12 +25,13 @@
 //!
 //! # File format
 //!
-//! One file per posterior, named `ab-v1-<log>-<config>-<horizon>.vpost`
-//! under the store directory. The payload is a fixed little-endian binary
-//! layout (magic, format version, the key triple, the Viterbi decode, the
-//! smoothed posteriors, and a trailing FNV-1a checksum). Floats are stored
-//! as raw IEEE-754 bit patterns, so a reloaded posterior is *bit-equal* to
-//! the one saved — no text round-trip error.
+//! One file per posterior, named `ab-v2-<log>-<config>-<horizon>.vpost`
+//! under the store directory. The payload is a little-endian binary
+//! layout: magic, format version, the key triple, the Viterbi decode, the
+//! smoothed posteriors (each step's pairwise posterior written as its
+//! bandwidth followed by its band cells), and a trailing FNV-1a checksum.
+//! Floats are stored as raw IEEE-754 bit patterns, so a reloaded posterior
+//! is *bit-equal* to the one saved — no text round-trip error.
 //!
 //! # Failure philosophy
 //!
@@ -53,7 +54,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use veritas::{Abduction, VeritasConfig};
-use veritas_ehmm::{EhmmWorkspace, Posteriors, StateMatrix, TransitionMatrix, ViterbiResult};
+use veritas_ehmm::{
+    BandMatrix, EhmmWorkspace, Posteriors, StateMatrix, TransitionMatrix, ViterbiResult,
+};
 use veritas_player::SessionLog;
 
 use crate::cache::{fnv_mix, FNV_OFFSET};
@@ -61,7 +64,9 @@ use crate::fault::{FaultPlan, FaultSite};
 
 /// Version stamp embedded in every stored entry; bump on any layout
 /// change so older binaries' files read as misses instead of garbage.
-pub const FORMAT_VERSION: u64 = 1;
+/// Version 2 stores each pairwise posterior as its band (version 1 stored
+/// a dense K×K matrix per step).
+pub const FORMAT_VERSION: u64 = 2;
 
 /// Version stamp of persisted kernel tables (`.vkern`); bumped
 /// independently of [`FORMAT_VERSION`] — the two layouts evolve
@@ -343,12 +348,9 @@ pub(crate) fn put_f64(buf: &mut Vec<u8>, value: f64) {
 fn encode(key: &PersistKey, viterbi: &ViterbiResult, posteriors: &Posteriors) -> Vec<u8> {
     let num_obs = viterbi.path.len();
     let num_states = posteriors.gamma.cols();
-    let mut buf = Vec::with_capacity(
-        96 + 8
-            * (num_obs
-                + posteriors.gamma.as_slice().len()
-                + posteriors.xi.len() * num_states * num_states),
-    );
+    let xi_words: usize = posteriors.xi.iter().map(|b| 1 + b.as_slice().len()).sum();
+    let mut buf =
+        Vec::with_capacity(96 + 8 * (num_obs + posteriors.gamma.as_slice().len() + xi_words));
     buf.extend_from_slice(&MAGIC);
     put_u64(&mut buf, FORMAT_VERSION);
     put_u64(&mut buf, key.log);
@@ -365,6 +367,7 @@ fn encode(key: &PersistKey, viterbi: &ViterbiResult, posteriors: &Posteriors) ->
     }
     put_u64(&mut buf, posteriors.xi.len() as u64);
     for pair in &posteriors.xi {
+        put_u64(&mut buf, pair.bandwidth() as u64);
         for &v in pair.as_slice() {
             put_f64(&mut buf, v);
         }
@@ -573,16 +576,16 @@ fn decode(bytes: &[u8]) -> Option<(PersistKey, ViterbiResult, Posteriors)> {
         return None;
     }
     let (num_obs, num_states) = (num_obs as usize, num_states as usize);
-    // The whole remaining layout is length-determined; verify it against
-    // the payload size before allocating anything observation-sized.
-    let xi_cells = num_states.checked_mul(num_states)?;
-    let expected_words = num_obs // viterbi path
+    // Verify the smallest layout these shapes allow (every band at
+    // bandwidth 0) against the payload size before allocating anything
+    // observation-sized; each band's own length is checked as it is read.
+    let min_words = num_obs // viterbi path
         .checked_add(1)? // viterbi log-likelihood
         .checked_add(num_obs.checked_mul(num_states)?)? // gamma
         .checked_add(1)? // xi count
-        .checked_add((num_obs - 1).checked_mul(xi_cells)?)? // xi matrices
+        .checked_add((num_obs - 1).checked_mul(num_states.checked_add(1)?)?)? // bands
         .checked_add(1)?; // posterior log-likelihood
-    if payload.len() - reader.pos != expected_words.checked_mul(8)? {
+    if payload.len() - reader.pos < min_words.checked_mul(8)? {
         return None;
     }
     let mut path = Vec::with_capacity(num_obs);
@@ -604,10 +607,18 @@ fn decode(bytes: &[u8]) -> Option<(PersistKey, ViterbiResult, Posteriors)> {
     }
     let mut xi = Vec::with_capacity(xi_count);
     for _ in 0..xi_count {
-        xi.push(StateMatrix::from_vec(
+        // `take_f64s` checks the band fits the remaining payload before
+        // allocating it.
+        let bandwidth = reader.take_u64()?;
+        if bandwidth >= num_states as u64 {
+            return None;
+        }
+        let bandwidth = bandwidth as usize;
+        let cells = num_states.checked_mul(2 * bandwidth + 1)?;
+        xi.push(BandMatrix::from_vec(
             num_states,
-            num_states,
-            reader.take_f64s(xi_cells)?,
+            bandwidth,
+            reader.take_f64s(cells)?,
         ));
     }
     let posteriors = Posteriors {
@@ -615,6 +626,9 @@ fn decode(bytes: &[u8]) -> Option<(PersistKey, ViterbiResult, Posteriors)> {
         xi,
         log_likelihood: reader.take_f64()?,
     };
+    if !reader.at_end() {
+        return None;
+    }
     Some((key, viterbi, posteriors))
 }
 
@@ -645,12 +659,16 @@ mod tests {
                 num_states,
                 (0..num_obs * num_states).map(|_| values()).collect(),
             ),
+            // Every bandwidth from 0 to the full band shows up across steps.
             xi: (0..num_obs - 1)
-                .map(|_| {
-                    StateMatrix::from_vec(
+                .map(|n| {
+                    let bandwidth = n % num_states;
+                    BandMatrix::from_vec(
                         num_states,
-                        num_states,
-                        (0..num_states * num_states).map(|_| values()).collect(),
+                        bandwidth,
+                        (0..num_states * (2 * bandwidth + 1))
+                            .map(|_| values())
+                            .collect(),
                     )
                 })
                 .collect(),
@@ -698,8 +716,11 @@ mod tests {
             };
             prop_assert_eq!(bits(&back_posteriors.gamma), bits(&posteriors.gamma));
             prop_assert_eq!(back_posteriors.xi.len(), posteriors.xi.len());
+            let band_bits = |m: &BandMatrix| -> (usize, Vec<u64>) {
+                (m.bandwidth(), m.as_slice().iter().map(|v| v.to_bits()).collect())
+            };
             for (a, b) in back_posteriors.xi.iter().zip(&posteriors.xi) {
-                prop_assert_eq!(bits(a), bits(b));
+                prop_assert_eq!(band_bits(a), band_bits(b));
             }
             prop_assert_eq!(
                 encode(&key, &back_viterbi, &back_posteriors),
@@ -768,6 +789,162 @@ mod tests {
         let checksum = fnv_checksum(&buf[MAGIC.len()..]);
         put_u64(&mut buf, checksum);
         assert!(decode(&buf).is_none());
+    }
+
+    /// Rewrites the trailing checksum after a test edited the payload, so
+    /// the decoder's shape checks, not the checksum, must catch the edit.
+    fn reseal(bytes: &mut Vec<u8>) {
+        bytes.truncate(bytes.len() - 8);
+        let checksum = fnv_checksum(&bytes[MAGIC.len()..]);
+        put_u64(bytes, checksum);
+    }
+
+    /// Byte offset of step `step`'s bandwidth word in an encoded entry.
+    fn bandwidth_offset(posteriors: &Posteriors, num_obs: usize, step: usize) -> usize {
+        let num_states = posteriors.gamma.cols();
+        let header = MAGIC.len() + 8 * 6; // version, key triple, num_obs, num_states
+        let before_xi = header + 8 * (num_obs + 1 + num_obs * num_states + 1);
+        before_xi
+            + posteriors.xi[..step]
+                .iter()
+                .map(|b| 8 * (1 + b.as_slice().len()))
+                .sum::<usize>()
+    }
+
+    #[test]
+    fn a_bandwidth_at_or_past_the_state_count_is_rejected() {
+        let mut counter = 0.0f64;
+        let mut values = move || {
+            counter += 0.5;
+            counter
+        };
+        let (key, viterbi, posteriors) = entry(4, 3, &mut values);
+        let offset = bandwidth_offset(&posteriors, 4, 1);
+        for bandwidth in [3u64, 4, u64::MAX] {
+            let mut bytes = encode(&key, &viterbi, &posteriors);
+            bytes[offset..offset + 8].copy_from_slice(&bandwidth.to_le_bytes());
+            reseal(&mut bytes);
+            assert!(decode(&bytes).is_none(), "bandwidth {bandwidth} accepted");
+        }
+    }
+
+    #[test]
+    fn a_band_longer_than_the_payload_is_rejected() {
+        let mut counter = 0.0f64;
+        let mut values = move || {
+            counter += 0.5;
+            counter
+        };
+        // Steps 0, 1, 2 have bandwidths 0, 1, 2 over 5 states.
+        let (key, viterbi, posteriors) = entry(4, 5, &mut values);
+        let bytes = encode(&key, &viterbi, &posteriors);
+        let last = bandwidth_offset(&posteriors, 4, 2);
+        // The last band cut short: its cells and the trailing
+        // log-likelihood no longer fit.
+        let mut truncated = bytes[..last + 8 + 8 * 4].to_vec();
+        put_u64(&mut truncated, 0); // checksum slot
+        reseal(&mut truncated);
+        assert!(decode(&truncated).is_none());
+        // The last band widened to claim 45 cells where 26 words remain.
+        let mut widened = bytes.clone();
+        widened[last..last + 8].copy_from_slice(&4u64.to_le_bytes());
+        reseal(&mut widened);
+        assert!(decode(&widened).is_none());
+        // The last band narrowed, leaving words over.
+        let mut narrowed = bytes;
+        narrowed[last..last + 8].copy_from_slice(&1u64.to_le_bytes());
+        reseal(&mut narrowed);
+        assert!(decode(&narrowed).is_none());
+    }
+
+    /// The version-1 layout, kept here to prove such files read as
+    /// misses: every pairwise posterior as a dense K×K matrix.
+    fn encode_v1(key: &PersistKey, viterbi: &ViterbiResult, posteriors: &Posteriors) -> Vec<u8> {
+        let num_states = posteriors.gamma.cols();
+        let mut buf = MAGIC.to_vec();
+        for word in [
+            1,
+            key.log,
+            key.config,
+            key.horizon as u64,
+            viterbi.path.len() as u64,
+            num_states as u64,
+        ] {
+            put_u64(&mut buf, word);
+        }
+        for &state in &viterbi.path {
+            put_u64(&mut buf, state as u64);
+        }
+        put_f64(&mut buf, viterbi.log_likelihood);
+        for &v in posteriors.gamma.as_slice() {
+            put_f64(&mut buf, v);
+        }
+        put_u64(&mut buf, posteriors.xi.len() as u64);
+        for pair in &posteriors.xi {
+            for i in 0..num_states {
+                for j in 0..num_states {
+                    put_f64(&mut buf, pair.get(i, j));
+                }
+            }
+        }
+        put_f64(&mut buf, posteriors.log_likelihood);
+        let checksum = fnv_checksum(&buf[MAGIC.len()..]);
+        put_u64(&mut buf, checksum);
+        buf
+    }
+
+    #[test]
+    fn a_version_1_dense_entry_is_a_miss_and_is_re_inferred() {
+        use crate::{
+            config_fingerprint, infer_prefix, log_fingerprint, AbductionCache, CacheSource,
+            SyntheticSpec,
+        };
+
+        let dir = std::env::temp_dir().join(format!("veritas_persist_v1_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let corpus = SyntheticSpec {
+            sessions: 1,
+            video_duration_s: 60.0,
+            ..SyntheticSpec::default()
+        }
+        .build();
+        let log = &corpus.sessions[0].log;
+        let config = VeritasConfig::paper_default();
+        let inferred = infer_prefix(log, log.records.len(), &config).unwrap();
+        let key = PersistKey {
+            log: log_fingerprint(log),
+            config: config_fingerprint(&config),
+            horizon: log.records.len(),
+        };
+        let v1 = encode_v1(&key, inferred.viterbi(), inferred.posteriors());
+        assert!(decode(&v1).is_none(), "a version-1 entry must not decode");
+        // The version word alone decides: the current layout stamped 1 is
+        // refused too.
+        let mut stamped = encode(&key, inferred.viterbi(), inferred.posteriors());
+        assert!(decode(&stamped).is_some());
+        stamped[MAGIC.len()..MAGIC.len() + 8].copy_from_slice(&1u64.to_le_bytes());
+        reseal(&mut stamped);
+        assert!(
+            decode(&stamped).is_none(),
+            "a version-1 stamp must not decode"
+        );
+
+        // A v1 file under the live key is healed: deleted, re-inferred,
+        // and rewritten in the current format.
+        let store = DiskStore::open(&dir).unwrap();
+        fs::write(store.path_for(&key), &v1).unwrap();
+        let cache = AbductionCache::new().with_disk_store(store);
+        let (abduction, source) = cache.get_or_infer("s", log, &config).unwrap();
+        assert_eq!(source, CacheSource::Inferred);
+        assert_eq!(cache.healed(), 1);
+        assert_eq!(cache.disk_hits(), 0);
+        assert_eq!(abduction.posteriors(), inferred.posteriors());
+
+        let warm = AbductionCache::new().with_disk_store(DiskStore::open(&dir).unwrap());
+        let (restored, source) = warm.get_or_infer("s", log, &config).unwrap();
+        assert_eq!(source, CacheSource::Disk);
+        assert_eq!(restored.posteriors(), inferred.posteriors());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A small row-stochastic matrix with rows that sum to exactly 1.0 in

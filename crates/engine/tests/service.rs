@@ -518,6 +518,62 @@ fn the_veritasd_binary_announces_its_port_and_serves_queries() {
 }
 
 #[test]
+fn a_deeply_nested_line_is_refused_before_auth_and_the_daemon_keeps_serving() {
+    // A recursive-descent parser without a depth limit overflows its
+    // thread's stack on this line, and a stack overflow aborts the whole
+    // process — before the auth token is even looked at.
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_veritasd"))
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--synthetic",
+            "2",
+            "--seed",
+            "9",
+            "--threads",
+            "2",
+            "--auth-token",
+            "s3cret",
+        ])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("the veritasd binary must start");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr: std::net::SocketAddr = banner
+        .trim()
+        .strip_prefix("veritasd: listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
+        .parse()
+        .unwrap();
+
+    for line in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+        let mut attacker = Client::connect(&addr);
+        attacker.send(&line);
+        let error = ErrorEnvelope::parse(&attacker.read_line())
+            .expect("the refusal is a typed error envelope");
+        assert_eq!(error.kind, "protocol");
+    }
+
+    let mut authed = Client::connect(&addr);
+    authed.send(r#"{"metrics": true, "auth": "s3cret"}"#);
+    let line = authed.read_line();
+    let metrics = serde_json::from_str::<MetricsEnvelope>(&line)
+        .unwrap_or_else(|e| panic!("an authed request must still be served ({e}): {line}"))
+        .metrics;
+    assert_eq!(metrics.sessions, 2);
+    assert!(
+        child.try_wait().unwrap().is_none(),
+        "the daemon must still be running"
+    );
+
+    child.kill().unwrap();
+    let _ = child.wait();
+}
+
+#[test]
 fn an_auth_token_gates_every_request() {
     let mut cfg = config(2, 47);
     cfg.auth_token = Some("hunter2".to_string());

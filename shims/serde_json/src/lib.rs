@@ -4,15 +4,21 @@
 //! [`to_string`], [`to_string_pretty`], [`from_str`], and an [`Error`] type
 //! that satisfies the serde shim's error traits — over the shim's
 //! [`Value`] tree. The parser handles the full JSON grammar (strings with
-//! escapes, nested arrays/objects, scientific-notation numbers, booleans,
-//! null); the writer emits integers without a trailing `.0` so that
-//! integer-typed fields round-trip cleanly.
+//! escapes, arrays/objects nested up to 128 levels, scientific-notation
+//! numbers, booleans, null); the writer emits integers without a trailing
+//! `.0` so that integer-typed fields round-trip cleanly.
 
 #![deny(missing_docs)]
 
 use std::fmt;
 
 pub use serde::Value;
+
+/// Deepest nesting of arrays and objects [`from_str`] accepts. The parser
+/// recurses once per level, so without a limit a line of `[` characters
+/// overflows the thread's stack and aborts the process; past the limit
+/// it returns an [`Error`] instead.
+const MAX_DEPTH: usize = 128;
 
 /// Errors from JSON serialization or deserialization.
 #[derive(Debug, Clone)]
@@ -64,12 +70,10 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
     Ok(out)
 }
 
-/// Deserializes a value from a JSON string.
+/// Deserializes a value from a JSON string. Input nested more than 128
+/// arrays or objects deep is an error.
 pub fn from_str<'de, T: serde::Deserialize<'de>>(input: &str) -> Result<T, Error> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut parser = Parser::new(input.as_bytes());
     parser.skip_whitespace();
     let value = parser.parse_value()?;
     parser.skip_whitespace();
@@ -189,9 +193,32 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            bytes,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Enters one more array or object level, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn skip_whitespace(&mut self) {
         while self.pos < self.bytes.len()
             && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
@@ -219,8 +246,18 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_whitespace();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => {
+                self.descend()?;
+                let object = self.parse_object();
+                self.depth -= 1;
+                object
+            }
+            Some(b'[') => {
+                self.descend()?;
+                let array = self.parse_array();
+                self.depth -= 1;
+                array
+            }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
@@ -421,10 +458,7 @@ mod tests {
         ]);
         let mut out = String::new();
         write_value(&value, Some(2), 0, &mut out);
-        let mut parser = Parser {
-            bytes: out.as_bytes(),
-            pos: 0,
-        };
+        let mut parser = Parser::new(out.as_bytes());
         let back = parser.parse_value().unwrap();
         assert_eq!(back, value);
     }
@@ -432,6 +466,42 @@ mod tests {
     #[test]
     fn rejects_trailing_garbage() {
         assert!(from_str::<f64>("1 junk").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        // Parsed on a 2 MB stack, the size a spawned thread gets by
+        // default: without the limit these inputs abort the process.
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let arrays = "[".repeat(100_000);
+                let objects = "{\"a\":".repeat(100_000);
+                (
+                    from_str::<Value>(&arrays).map_err(|e| e.to_string()),
+                    from_str::<Value>(&objects).map_err(|e| e.to_string()),
+                )
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        for outcome in [result.0, result.1] {
+            let message = outcome.unwrap_err();
+            assert!(message.contains("nesting deeper than 128"), "{message}");
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_still_parses() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&at_limit).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(from_str::<Value>(&past).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&objects).is_ok());
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}]", vec!["[[1]]"; 1000].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
     }
 
     #[test]
